@@ -27,7 +27,7 @@ noise for sub-second kernels.  ``compare_payloads`` diffs two result files
 per (section, workload, kernel, size) and flags regressions past a
 tolerance — ``repro bench --compare BASELINE.json`` exits non-zero on any,
 except in sections marked informational via ``--informational-section``
-(used by CI for hardware-bound baselines such as ``intra_trial``).
+(used by CI for hardware-bound baselines such as ``serve``).
 
 The ``batched`` section times the same batch of small graphs through the
 per-graph loop and through the fused lockstep path
@@ -79,8 +79,6 @@ from repro.utils.tables import Table
 __all__ = [
     "DEFAULT_SIZES",
     "QUICK_SIZES",
-    "INTRA_TRIAL_SIZES",
-    "INTRA_TRIAL_WORKERS",
     "BATCHED_BATCH_SIZES",
     "QUICK_BATCHED_BATCH_SIZES",
     "BATCHED_GRAPH_SIZE",
@@ -109,13 +107,6 @@ DEFAULT_SIZES = (10_000, 100_000)
 
 QUICK_SIZES = (2_000,)
 """Sizes for the CI smoke run (``--quick``)."""
-
-INTRA_TRIAL_SIZES = (1_000_000,)
-"""Sizes of the intra-trial section: one peel large enough that partitioned
-round work dominates the per-round barrier cost on multi-core hosts."""
-
-INTRA_TRIAL_WORKERS = (2,)
-"""Worker counts benchmarked for the shm-parallel engine."""
 
 BATCHED_BATCH_SIZES = (16, 256, 1024)
 """Batch sizes of the ``batched`` section (per-graph loop vs fused lockstep)."""
@@ -305,42 +296,6 @@ def _bench_iblt_trial(params: Dict[str, Any], rng: np.random.Generator) -> Dict[
     record["compile_ms"] = compile_ms
     record["seconds"] = seconds
     return record
-
-
-def _bench_intra_trial(params: Dict[str, Any], rng: np.random.Generator) -> Dict[str, Any]:
-    # One big peel, serial baseline vs the shm-parallel engine: the paper's
-    # intra-trial parallelism claim measured on real hardware.  The serial
-    # baseline is the numpy-kernel parallel engine timed on the identical
-    # graph, so the delta is purely the worker pool.
-    from repro.engine import peel
-    from repro.hypergraph import random_hypergraph
-
-    engine = params["engine"]
-    n, c, r, k, seed = params["n"], params["c"], params["r"], params["k"], params["seed"]
-    compile_ms = _warmup_kernel(None if engine == "shm-parallel" else params["kernel"])
-    graph = random_hypergraph(n, c, r, seed=seed)
-    opts: Dict[str, Any] = {}
-    if engine == "shm-parallel":
-        opts["num_workers"] = params["workers"]
-    else:
-        opts["kernel"] = params["kernel"]
-    result = peel(graph, engine, k=k, **opts)
-    seconds = _best_time(lambda: peel(graph, engine, k=k, **opts), params["repeats"])
-    return {
-        "section": "intra_trial",
-        "engine": engine,
-        "kernel": params["kernel"],
-        "workers": params.get("workers"),
-        "compile_ms": compile_ms,
-        "n": int(graph.num_vertices),
-        "c": c,
-        "r": r,
-        "k": k,
-        "seed": seed,
-        "rounds": result.num_rounds,
-        "success": bool(result.success),
-        "seconds": seconds,
-    }
 
 
 def _bench_batched_trial(params: Dict[str, Any], rng: np.random.Generator) -> Dict[str, Any]:
@@ -572,7 +527,6 @@ _TRIALS = {
     "peel": _bench_peel_trial,
     "peel_many": _bench_peel_many_trial,
     "iblt_decode": _bench_iblt_trial,
-    "intra_trial": _bench_intra_trial,
     "batched": _bench_batched_trial,
     "serve": _bench_serve_trial,
     "memory": _bench_memory_trial,
@@ -601,8 +555,6 @@ def bench_spec(
     seed: int = 1,
     repeats: int = 3,
     batch: int = 4,
-    intra_sizes: Sequence[int] = INTRA_TRIAL_SIZES,
-    intra_workers: Sequence[int] = INTRA_TRIAL_WORKERS,
     batched_batches: Sequence[int] = BATCHED_BATCH_SIZES,
     serve_windows_ms: Sequence[float] = SERVE_WINDOWS_MS,
     serve_requests: int = SERVE_REQUESTS,
@@ -614,8 +566,7 @@ def bench_spec(
     Cell order matches the historical record order: the ``peel`` section
     (size × engine × kernel), then ``peel_many`` (kernel), then
     ``iblt_decode`` (size × decoder × kernel, serial baseline first), then
-    ``intra_trial`` (size × {serial numpy baseline, shm-parallel × worker
-    count} on one identical large graph), then ``batched`` (batch size ×
+    ``batched`` (batch size ×
     {per-graph loop, fused lockstep} × kernel on identical batches of
     ``n=1000`` graphs at ``c=0.75``), then ``serve`` (end-to-end decode
     service throughput at each batch-window setting), then ``memory``
@@ -677,25 +628,6 @@ def bench_spec(
                         seed=derive_seed(seed, "bench", "iblt", decoder, kernel, n),
                     )
                 )
-    for n in intra_sizes:
-        intra_common = {"section": "intra_trial", "n": int(n), **common}
-        cells.append(
-            CellSpec(
-                key=f"intra/n={n}/parallel/numpy",
-                params={**intra_common, "engine": "parallel", "kernel": "numpy",
-                        "workers": None},
-                seed=derive_seed(seed, "bench", "intra", "parallel", n),
-            )
-        )
-        for workers in intra_workers:
-            cells.append(
-                CellSpec(
-                    key=f"intra/n={n}/shm-parallel/w{workers}",
-                    params={**intra_common, "engine": "shm-parallel", "kernel": None,
-                            "workers": int(workers)},
-                    seed=derive_seed(seed, "bench", "intra", "shm-parallel", workers, n),
-                )
-            )
     batched_common = {
         "section": "batched", "n": int(BATCHED_GRAPH_SIZE), "c": BATCHED_DENSITY,
         "r": r, "k": k, "seed": seed, "repeats": repeats,
@@ -763,8 +695,6 @@ def bench_spec(
         meta={
             "kernels": list(kernel_names),
             "sizes": [int(n) for n in sizes],
-            "intra_sizes": [int(n) for n in intra_sizes],
-            "intra_workers": [int(w) for w in intra_workers],
             "batched_batches": [int(b) for b in batched_batches],
             "serve_windows_ms": [float(w) for w in serve_windows_ms],
             "serve_requests": int(serve_requests),
@@ -786,8 +716,6 @@ def run_benchmarks(
     seed: int = 1,
     repeats: int = 3,
     batch: int = 4,
-    intra_sizes: Sequence[int] = INTRA_TRIAL_SIZES,
-    intra_workers: Sequence[int] = INTRA_TRIAL_WORKERS,
     batched_batches: Sequence[int] = BATCHED_BATCH_SIZES,
     serve_windows_ms: Sequence[float] = SERVE_WINDOWS_MS,
     serve_requests: int = SERVE_REQUESTS,
@@ -819,9 +747,6 @@ def run_benchmarks(
         Timed runs per combination; the best is reported.
     batch:
         Batch size of the ``peel_many`` section.
-    intra_sizes, intra_workers:
-        Graph sizes and shm-parallel worker counts of the ``intra_trial``
-        section (one large peel, serial numpy baseline vs the shm engine).
     batched_batches:
         Batch sizes of the ``batched`` section (per-graph loop vs fused
         lockstep ``peel_many`` on identical batches of small graphs).
@@ -847,7 +772,6 @@ def run_benchmarks(
     spec = bench_spec(
         sizes=sizes, kernels=kernels, c=c, r=r, iblt_r=iblt_r, k=k, load=load,
         seed=seed, repeats=repeats, batch=batch,
-        intra_sizes=intra_sizes, intra_workers=intra_workers,
         batched_batches=batched_batches,
         serve_windows_ms=serve_windows_ms, serve_requests=serve_requests,
         memory_sizes=memory_sizes, incremental_churns=incremental_churns,
@@ -865,8 +789,6 @@ def run_benchmarks(
             "machine": platform.machine(),
             "kernels": list(spec.meta["kernels"]),
             "sizes": list(spec.meta["sizes"]),
-            "intra_sizes": list(spec.meta["intra_sizes"]),
-            "intra_workers": list(spec.meta["intra_workers"]),
             "batched_batches": list(spec.meta["batched_batches"]),
             "serve_windows_ms": list(spec.meta["serve_windows_ms"]),
             "serve_requests": spec.meta["serve_requests"],
@@ -892,8 +814,6 @@ def format_results(payload: Dict[str, Any]) -> str:
     )
     for record in payload["results"]:
         workload = record.get("engine") or record.get("decoder")
-        if record.get("workers") is not None:
-            workload = f"{workload}[w={record['workers']}]"
         if record["section"] == "batched":
             workload = f"{workload}[B={record['batch']}]"
         if record["section"] == "serve":
@@ -913,14 +833,13 @@ def format_results(payload: Dict[str, Any]) -> str:
     return table.render()
 
 
-def _record_key(record: Dict[str, Any]) -> Tuple[str, str, str, int, Any, Any, Any, Any, Any]:
+def _record_key(record: Dict[str, Any]) -> Tuple[str, str, str, int, Any, Any, Any, Any]:
     """Identity of one benchmark record across runs.
 
-    Includes the seed, batch, worker count, serve batch window and churn
-    ratio so runs of *different* workloads (other random graphs, other
-    batch sizes, other shm pools, other latency budgets, other churn
-    schedules) never silently compare as if they were the same
-    measurement.
+    Includes the seed, batch, serve batch window and churn ratio so runs
+    of *different* workloads (other random graphs, other batch sizes,
+    other latency budgets, other churn schedules) never silently compare
+    as if they were the same measurement.
     """
     return (
         record["section"],
@@ -929,7 +848,6 @@ def _record_key(record: Dict[str, Any]) -> Tuple[str, str, str, int, Any, Any, A
         int(record.get("n", record.get("num_cells", 0))),
         record.get("seed"),
         record.get("batch"),
-        record.get("workers"),
         record.get("window_ms"),
         record.get("churn"),
     )
@@ -968,9 +886,9 @@ def compare_payloads(
     Sections named in ``informational_sections`` are compared and reported
     but their regressions never count toward the returned total (they are
     flagged ``regression (info)``).  CI uses this for sections whose
-    committed baseline is hardware-bound — e.g. ``intra_trial`` numbers
-    recorded on a 1-core host are noise, not signal, on a multi-core
-    runner.
+    committed baseline is hardware-bound — e.g. ``serve`` numbers are
+    loopback scheduler timings of the host that recorded them, noise on a
+    different runner.
     """
     if tolerance < 0:
         raise ValueError(f"tolerance must be non-negative, got {tolerance}")
@@ -1004,14 +922,12 @@ def compare_payloads(
                 regressions += 1
         elif delta < -tolerance:
             flag = "improved"
-        if key[6] is not None:
-            workload = f"{workload}[w={key[6]}]"
         if section == "batched" and key[5] is not None:
             workload = f"{workload}[B={key[5]}]"
-        if section == "serve" and key[7] is not None:
-            workload = f"{workload}[win={key[7]:g}ms]"
-        if section == "incremental" and key[8] is not None:
-            workload = f"{workload}[churn={key[8]:g}]"
+        if section == "serve" and key[6] is not None:
+            workload = f"{workload}[win={key[6]:g}ms]"
+        if section == "incremental" and key[7] is not None:
+            workload = f"{workload}[churn={key[7]:g}]"
         table.add_row(
             section, workload, kernel if kernel != "None" else "-", size,
             f"{base['seconds']:.4f}", f"{record['seconds']:.4f}", f"{delta:+.1%}", flag,
@@ -1098,23 +1014,6 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--intra-sizes",
-        type=int,
-        nargs="+",
-        default=list(INTRA_TRIAL_SIZES),
-        help=(
-            "graph sizes of the intra-trial section (serial numpy baseline vs "
-            "the shm-parallel engine on one identical peel; default: %(default)s)"
-        ),
-    )
-    parser.add_argument(
-        "--intra-workers",
-        type=int,
-        nargs="+",
-        default=list(INTRA_TRIAL_WORKERS),
-        help="shm-parallel worker counts to benchmark (default: %(default)s)",
-    )
-    parser.add_argument(
         "--batched-batches",
         type=int,
         nargs="+",
@@ -1199,7 +1098,7 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
         help=(
             "bench section whose --compare regressions are reported but "
             "never fail the run (repeatable); use for sections whose "
-            "baseline timings are hardware-bound, e.g. intra_trial numbers "
+            "baseline timings are hardware-bound, e.g. serve numbers "
             "committed from a different host"
         ),
     )
@@ -1217,7 +1116,6 @@ def run_bench_command(args: argparse.Namespace) -> Tuple[str, int]:
     only when ``--compare`` found regressions past the tolerance.
     """
     sizes: Sequence[int] = QUICK_SIZES if args.quick else args.sizes
-    intra_sizes: Sequence[int] = QUICK_SIZES if args.quick else args.intra_sizes
     batched_batches: Sequence[int] = (
         QUICK_BATCHED_BATCH_SIZES if args.quick else args.batched_batches
     )
@@ -1239,8 +1137,6 @@ def run_bench_command(args: argparse.Namespace) -> Tuple[str, int]:
         kernels=kernels or None,
         seed=args.seed,
         repeats=repeats,
-        intra_sizes=intra_sizes,
-        intra_workers=args.intra_workers,
         batched_batches=batched_batches,
         serve_windows_ms=serve_windows,
         serve_requests=serve_requests,

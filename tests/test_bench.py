@@ -15,7 +15,7 @@ from repro.kernels import available_kernels
 def payload():
     """One tiny benchmark run shared by the assertions below."""
     return run_benchmarks(
-        sizes=(300,), repeats=1, batch=2, intra_sizes=(300,), intra_workers=(2,),
+        sizes=(300,), repeats=1, batch=2,
         batched_batches=(4,), serve_windows_ms=(2.0,), serve_requests=8,
         memory_sizes=(300,),
     )
@@ -32,7 +32,7 @@ class TestRunBenchmarks:
     def test_all_sections_present(self, payload):
         sections = {record["section"] for record in payload["results"]}
         assert sections == {
-            "peel", "peel_many", "iblt_decode", "intra_trial", "batched", "serve",
+            "peel", "peel_many", "iblt_decode", "batched", "serve",
             "memory", "incremental",
         }
 
@@ -40,13 +40,6 @@ class TestRunBenchmarks:
         records = [r for r in payload["results"] if r["section"] == "batched"]
         combos = {(r["engine"], r["batch"]) for r in records}
         assert combos == {("loop", 4), ("batched", 4)}
-
-    def test_intra_trial_compares_serial_baseline_to_shm(self, payload):
-        records = [r for r in payload["results"] if r["section"] == "intra_trial"]
-        combos = {(r["engine"], r["workers"]) for r in records}
-        assert combos == {("parallel", None), ("shm-parallel", 2)}
-        rounds = {r["rounds"] for r in records}
-        assert len(rounds) == 1  # identical graph, identical process
 
     def test_serve_section_reports_throughput_and_fusion(self, payload):
         records = [r for r in payload["results"] if r["section"] == "serve"]
@@ -103,7 +96,7 @@ class TestRunBenchmarks:
 
     def test_kernel_subset_selectable(self):
         run = run_benchmarks(
-            sizes=(300,), kernels=("numpy",), repeats=1, batch=2, intra_sizes=(300,),
+            sizes=(300,), kernels=("numpy",), repeats=1, batch=2,
             batched_batches=(4,), serve_windows_ms=(2.0,), serve_requests=8,
             memory_sizes=(300,),
         )
@@ -126,11 +119,10 @@ class TestRunBenchmarks:
     def test_format_results_mentions_every_section(self, payload):
         report = format_results(payload)
         for section in (
-            "peel", "peel_many", "iblt_decode", "intra_trial", "batched", "serve",
+            "peel", "peel_many", "iblt_decode", "batched", "serve",
             "memory", "incremental",
         ):
             assert section in report
-        assert "shm-parallel[w=2]" in report
         assert "batched[B=4]" in report
         assert "[win=2ms]" in report
         assert "[churn=0.01]" in report
@@ -175,11 +167,11 @@ class TestComparePayloads:
         # but never counted toward the exit code.
         fast_baseline = copy.deepcopy(payload)
         for record in fast_baseline["results"]:
-            if record["section"] == "intra_trial":
+            if record["section"] == "serve":
                 record["seconds"] /= 10.0
         report, regressions = compare_payloads(
             payload, fast_baseline, tolerance=0.25,
-            informational_sections=("intra_trial",),
+            informational_sections=("serve",),
         )
         assert regressions == 0
         assert "regression (info)" in report
@@ -205,14 +197,14 @@ class TestComparePayloads:
     def test_resumable_artifact(self, tmp_path):
         artifact = tmp_path / "bench_sweep.json"
         first = run_benchmarks(
-            sizes=(300,), repeats=1, batch=2, intra_sizes=(300,),
+            sizes=(300,), repeats=1, batch=2,
             batched_batches=(4,), serve_windows_ms=(2.0,), serve_requests=8,
             memory_sizes=(300,), artifact=artifact,
         )
 
         calls = []
         second = run_benchmarks(
-            sizes=(300,), repeats=1, batch=2, intra_sizes=(300,),
+            sizes=(300,), repeats=1, batch=2,
             batched_batches=(4,), serve_windows_ms=(2.0,), serve_requests=8,
             memory_sizes=(300,), artifact=artifact,
             resume=True, progress=calls.append,
