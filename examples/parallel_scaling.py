@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import sys
 
-from repro import ParallelMachine, peel, peel_many, random_hypergraph
+from repro import ParallelMachine, peel_many, random_hypergraph
 from repro.analysis import peeling_threshold, rounds_below_threshold
 from repro.utils.tables import Table, format_float
 
@@ -63,24 +63,6 @@ def main() -> None:
           "across a 16-64x range of n) while above the threshold it tracks log n; "
           "correspondingly the parallel speedup is larger below the threshold, the "
           "asymmetry Section 1 calls 'particularly fortuitous'.")
-
-    # Real intra-trial parallelism: the same process on OS workers sharing
-    # one zero-copy state segment ('repro bench' times it properly).
-    import os
-    import time
-
-    n = sizes[-1]
-    graph = random_hypergraph(n, densities[0], r, seed=7)
-    workers = max(2, min(os.cpu_count() or 1, 4))
-    timings = {}
-    for engine, opts in (("parallel", {}), ("shm-parallel", {"num_workers": workers})):
-        start = time.perf_counter()
-        result = peel(graph, engine, k=k, **opts)
-        timings[engine] = time.perf_counter() - start
-        rounds = result.num_rounds
-    print(f"\nOne n={n} peel ({rounds} rounds): serial numpy {timings['parallel']:.3f}s, "
-          f"shm-parallel[{workers} workers] {timings['shm-parallel']:.3f}s "
-          f"(wins only with multiple physical cores and large n).")
 
 
 if __name__ == "__main__":

@@ -122,8 +122,6 @@ from repro.parallel import (
     ParallelMachine,
     CostModel,
     ProcessPoolBackend,
-    ShmParallelPeeler,
-    ShmFlatDecoder,
     get_backend,
     available_backends,
 )
@@ -186,8 +184,6 @@ __all__ = [
     "ParallelMachine",
     "CostModel",
     "ProcessPoolBackend",
-    "ShmParallelPeeler",
-    "ShmFlatDecoder",
     "get_backend",
     "available_backends",
     "SweepSpec",

@@ -14,7 +14,6 @@ Examples
     python -m repro thresholds --k 2 --r 4
     python -m repro peel --n 100000 --c 0.7 --r 4 --k 2 --engine subtable
     python -m repro peel --n 100000 --kernel numpy
-    python -m repro peel --n 1000000 --engine shm-parallel --workers 4
     python -m repro peel --n 100000 --incremental --churn 0.01
     python -m repro decode --num-cells 30000 --decoder flat
     python -m repro decode --incremental --churn 0.01
@@ -215,15 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=available_kernels(),
         default=None,
         help="kernel backend for the round primitives (default: numpy)",
-    )
-    peel.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=(
-            "worker processes for intra-trial engines such as shm-parallel "
-            "(default: all cores); rejected by engines that do not take one"
-        ),
     )
     peel.add_argument("--seed", type=int, default=1)
     peel.add_argument(
@@ -495,10 +485,9 @@ def _run_peel(args: argparse.Namespace) -> Union[str, Tuple[str, int]]:
         graph = partitioned_hypergraph(n, args.c, args.r, seed=args.seed)
     else:
         graph = random_hypergraph(args.n, args.c, args.r, seed=args.seed)
-    opts = {} if args.workers is None else {"num_workers": args.workers}
     if args.incremental:
-        return _run_peel_incremental(args, engine, graph, opts)
-    result = peel(graph, engine, k=args.k, kernel=args.kernel, **opts)
+        return _run_peel_incremental(args, engine, graph)
+    result = peel(graph, engine, k=args.k, kernel=args.kernel)
     lines = [result.summary()]
     prediction = predict_rounds(graph.num_vertices, args.c, args.k, args.r)
     lines.append(
@@ -508,7 +497,7 @@ def _run_peel(args: argparse.Namespace) -> Union[str, Tuple[str, int]]:
     return "\n".join(lines)
 
 
-def _run_peel_incremental(args, engine, graph, opts) -> Tuple[str, int]:
+def _run_peel_incremental(args, engine, graph) -> Tuple[str, int]:
     """The --incremental flow of ``repro peel``: peel, churn edges, resume, verify."""
     import numpy as np
 
@@ -520,14 +509,14 @@ def _run_peel_incremental(args, engine, graph, opts) -> Tuple[str, int]:
         raise SystemExit(
             f"--incremental requires a resumable engine (parallel or sequential), got {engine!r}"
         )
-    result, state = peel_resumable(graph, engine, k=args.k, kernel=args.kernel, **opts)
+    result, state = peel_resumable(graph, engine, k=args.k, kernel=args.kernel)
     lines = [result.summary()]
     m = graph.num_edges
     drop_count = max(1, min(m, int(args.churn * m)))
     rng = np.random.default_rng(args.seed + 1)
     dropped = np.sort(rng.choice(m, size=drop_count, replace=False)).astype(np.int64)
     dirty = drop_edges(get_kernel(args.kernel), state, dropped)
-    resumed = resume(state, dirty, engine, k=args.k, kernel=args.kernel, **opts)
+    resumed = resume(state, dirty, engine, k=args.k, kernel=args.kernel)
     lines.append(
         f"churned {drop_count} of {m} edges ({drop_count / m:.2%}), "
         f"{dirty.size} dirty vertices"
@@ -535,7 +524,7 @@ def _run_peel_incremental(args, engine, graph, opts) -> Tuple[str, int]:
     lines.append("resumed: " + resumed.summary())
     keep = np.setdiff1d(np.arange(m, dtype=np.int64), dropped)
     mutated = hypergraph_from_edges(graph.num_vertices, graph.edges[keep])
-    scratch = peel(mutated, engine, k=args.k, kernel=args.kernel, **opts)
+    scratch = peel(mutated, engine, k=args.k, kernel=args.kernel)
     ok = bool(
         resumed.core_size == scratch.core_size
         and np.array_equal(resumed.core_vertex_mask, scratch.core_vertex_mask)

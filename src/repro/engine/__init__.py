@@ -11,11 +11,10 @@ This package is the stable public surface over the peeling engines:
   string-selectable single-graph and batched peeling, the latter dispatched
   through the execution backends of :mod:`repro.parallel.backend`.
 
-Importing this package registers the five built-in engines under the names
-``"sequential"``, ``"parallel"``, ``"subtable"``, ``"shm-parallel"`` (the
-shared-memory intra-trial parallel engine of :mod:`repro.parallel.shm`) and
-``"batched"`` (lockstep batch peeling; via ``peel`` it runs a batch of one,
-its real face is ``peel_many(graphs, "parallel", backend="batched")``).
+Importing this package registers the four built-in engines under the names
+``"sequential"``, ``"parallel"``, ``"subtable"`` and ``"batched"``
+(lockstep batch peeling; via ``peel`` it runs a batch of one, its real
+face is ``peel_many(graphs, "parallel", backend="batched")``).
 """
 
 from repro.engine.registry import (
@@ -32,13 +31,11 @@ from repro.engine.api import peel, peel_many, peel_resumable, resume
 from repro.core.peeling import ParallelPeeler, SequentialPeeler
 from repro.core.subtable import SubtablePeeler
 from repro.engine.batched import BatchedPeeler
-from repro.parallel.shm.peeler import ShmParallelPeeler
 
 for _name, _factory in (
     ("sequential", SequentialPeeler),
     ("parallel", ParallelPeeler),
     ("subtable", SubtablePeeler),
-    ("shm-parallel", ShmParallelPeeler),
     ("batched", BatchedPeeler),
 ):
     if _name not in available_engines():  # tolerate re-imports (e.g. importlib.reload)

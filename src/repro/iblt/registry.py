@@ -12,8 +12,6 @@ name      decoder
 serial    :class:`SerialDecoder` (the classical worklist recovery)
 flat      :class:`~repro.iblt.parallel_decode.FlatParallelDecoder`
 subtable  :class:`~repro.iblt.parallel_decode.SubtableParallelDecoder`
-shm-flat  :class:`~repro.parallel.shm.decode.ShmFlatDecoder` (flat
-          schedule across shared-memory worker processes)
 batched   :class:`~repro.iblt.batched_decode.BatchedFlatDecoder` (flat
           schedule over a whole batch of tables in lockstep; the batch
           face is :func:`repro.iblt.decode_many`)
@@ -40,7 +38,6 @@ from typing import Callable, Tuple
 from repro.iblt.batched_decode import BatchedFlatDecoder
 from repro.iblt.iblt import IBLT, IBLTDecodeResult
 from repro.iblt.parallel_decode import FlatParallelDecoder, SubtableParallelDecoder
-from repro.parallel.shm.decode import ShmFlatDecoder
 from repro.utils.registry import Registry
 
 __all__ = [
@@ -80,7 +77,6 @@ _DECODERS: Registry[DecoderFactory] = Registry("decoder")
 _DECODERS.register("serial", SerialDecoder)
 _DECODERS.register("flat", FlatParallelDecoder)
 _DECODERS.register("subtable", SubtableParallelDecoder)
-_DECODERS.register("shm-flat", ShmFlatDecoder)
 _DECODERS.register("batched", BatchedFlatDecoder)
 _DECODERS.register_alias("parallel", "subtable")
 _DECODERS.register_alias("flat-parallel", "flat")

@@ -18,11 +18,6 @@ provides the closest synthetic equivalent exercising the same code paths:
   thread speedup, which EXPERIMENTS.md flags, so the cost model is the
   primary instrument for Tables 3–4 while the process pool scales
   multi-trial workloads with cores.
-* :mod:`~repro.parallel.shm` — *intra-trial* parallelism: the
-  ``"shm-parallel"`` peeling engine and ``"shm-flat"`` IBLT decoder run one
-  round-synchronous process across a persistent pool of worker processes
-  over a single shared-memory state segment, the real-hardware analogue of
-  the paper's one-processor-per-vertex schedule.
 """
 
 from repro.parallel.machine import CostModel, ParallelMachine, SimulatedTiming
@@ -36,14 +31,6 @@ from repro.parallel.backend import (
     get_backend,
     register_backend,
     unregister_backend,
-)
-from repro.parallel.shm import (
-    ShmBlock,
-    ShmFlatDecoder,
-    ShmLayout,
-    ShmParallelPeeler,
-    ShmPoolError,
-    ShmWorkerPool,
 )
 
 __all__ = [
@@ -60,10 +47,4 @@ __all__ = [
     "unregister_backend",
     "get_backend",
     "available_backends",
-    "ShmBlock",
-    "ShmLayout",
-    "ShmWorkerPool",
-    "ShmPoolError",
-    "ShmParallelPeeler",
-    "ShmFlatDecoder",
 ]

@@ -5,7 +5,7 @@ Three properties of the compact-state work are pinned here:
 1. **Bit-identity** — peeling with the compact 32-bit id layout produces
    results byte-for-byte equal to the wide ``int64`` layout, on every
    registered kernel backend, every engine schedule, the batched lockstep
-   engine, the shm engine, and the awkward shapes (duplicate-endpoint
+   engine, and the awkward shapes (duplicate-endpoint
    edges, a CI-scale graph).  Result arrays are always widened back to
    ``int64`` so the golden fingerprints of ``test_kernel_parity.py`` keep
    hashing the same bytes.
@@ -198,23 +198,6 @@ def test_batched_compact_matches_wide(kernel):
     compact = batched_peel(kernel, graphs, 2)
     for w, c in zip(wide, compact):
         assert _fingerprint(c) == _fingerprint(w)
-
-
-@pytest.mark.parametrize("num_workers", [1, 2])
-def test_shm_compact_matches_wide(num_workers):
-    graph = random_hypergraph(3000, 0.8, 3, seed=13)
-    wide = peel(
-        graph,
-        "shm-parallel",
-        k=2,
-        num_workers=num_workers,
-        barrier_timeout=30.0,
-        wide_ids=True,
-    )
-    compact = peel(
-        graph, "shm-parallel", k=2, num_workers=num_workers, barrier_timeout=30.0
-    )
-    assert _fingerprint(compact) == _fingerprint(wide)
 
 
 # --------------------------------------------------------------------- #

@@ -30,7 +30,7 @@ def loaded_table() -> tuple:
 class TestRegistry:
     def test_builtin_decoders(self):
         assert set(available_decoders()) == {
-            "serial", "flat", "subtable", "shm-flat", "batched",
+            "serial", "flat", "subtable", "batched",
         }
 
     def test_get_decoder_by_name(self):

@@ -35,7 +35,15 @@ def assert_same_result(a, b):
 # --------------------------------------------------------------------- #
 class TestRegistry:
     def test_builtin_engines_registered(self):
-        assert set(available_engines()) >= {"sequential", "parallel", "subtable"}
+        assert set(available_engines()) == {"sequential", "parallel", "subtable", "batched"}
+
+    def test_cli_rejects_unregistered_engine(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["peel", "--n", "100", "--engine", "shared-memory"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'shared-memory'" in capsys.readouterr().err
 
     def test_get_engine_returns_classes(self):
         assert get_engine("sequential") is SequentialPeeler

@@ -365,45 +365,6 @@ def test_batched_peel_many_matches_parallel_golden(kernel, engine, update, n, c,
         assert _peel_fingerprint(result) == _peel_fingerprint(solo)
 
 
-# The shm engines are *schedules*, not kernels: they must land on the very
-# same golden fingerprints the in-process engines pinned, at any worker
-# count — rounds, removals, peel-round arrays, work terms, conflict depths.
-
-SHM_PEEL_CASES = [case[2:] for case in PEEL_CASES if case[:2] == ("parallel", "full")]
-SHM_IBLT_CASES = [case[1:] for case in IBLT_CASES if case[0] == "flat"]
-
-
-@pytest.mark.parametrize("num_workers", [1, 2])
-@pytest.mark.parametrize("n,c,r,k,seed", SHM_PEEL_CASES)
-def test_shm_engine_accounting_matches_parallel_golden(num_workers, n, c, r, k, seed):
-    graph = random_hypergraph(n, c, r, seed=seed)
-    result = peel(
-        graph, "shm-parallel", k=k, num_workers=num_workers, barrier_timeout=30.0
-    )
-    expected = GOLDEN[_peel_case_key("parallel", "full", n, c, r, k, seed)]
-    assert _peel_fingerprint(result) == expected
-
-
-@pytest.mark.parametrize("num_workers", [1, 2])
-@pytest.mark.parametrize("num_cells,r,load,seed", SHM_IBLT_CASES)
-def test_shm_decoder_accounting_matches_flat_golden(num_workers, num_cells, r, load, seed):
-    table = _iblt_table(num_cells, r, load, seed)
-    result = table.decode(decoder="shm-flat", num_workers=num_workers, barrier_timeout=30.0)
-    fingerprint = {
-        "rounds": result.rounds,
-        "subrounds": result.subrounds,
-        "success": bool(result.success),
-        "num_recovered": result.num_recovered,
-        "recovered": _digest(np.sort(result.recovered)),
-        "cells_scanned": result.decode.cells_scanned,
-        "conflict_depths": _digest(np.asarray(result.conflict_depths, dtype=np.int64)),
-        "conflict_len": len(result.conflict_depths),
-        "stats_len": len(result.round_stats),
-        "stats_digest": _stats_digest(result.round_stats),
-    }
-    assert fingerprint == GOLDEN[f"iblt-flat/m{num_cells}/r{r}/l{load}/s{seed}"]
-
-
 @pytest.mark.parametrize("kernel", available_kernels())
 def test_serial_iblt_decode_agrees_with_parallel_decoders(kernel):
     kernel = _kernel_or_skip(kernel)
