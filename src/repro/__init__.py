@@ -11,8 +11,8 @@ A production-oriented reproduction of *Parallel Peeling Algorithms*
   serial/thread/process execution backends,
 * a shared kernel layer under every engine and decoder
   (:mod:`repro.kernels`): columnar :class:`PeelState` plus swappable
-  vectorized round primitives (``kernel="numpy"`` always; ``"numba"`` when
-  importable), benchmarked by ``repro bench`` (:mod:`repro.bench`),
+  vectorized round primitives (``kernel="numpy"`` always; ``"cffi"`` when
+  a C compiler is present), benchmarked by ``repro bench`` (:mod:`repro.bench`),
 * the paper's analytical machinery — thresholds, survival recurrences,
   round-complexity predictions (:mod:`repro.analysis`),
 * Invertible Bloom Lookup Tables with name-selectable serial and parallel

@@ -18,7 +18,7 @@ serially (timing cells in parallel would corrupt each other's wall clocks);
 what the sweep layer buys here is the shared progress/artifact machinery.
 
 Timing methodology: each cell first warms its kernel backend up
-(``get_kernel`` + ``warmup()``, so one-time Numba JIT / C compile+dlopen
+(``get_kernel`` + ``warmup()``, so one-time C compile+dlopen
 costs never leak into the timings; the warm-up cost itself is reported per
 record as ``compile_ms``), then builds its workload from its cell seed
 (generation is not timed), then runs it ``repeats`` times; the *best*
@@ -183,7 +183,7 @@ def _best_time(fn: Callable[[], Any], repeats: int) -> float:
 def _warmup_kernel(kernel: Optional[str]) -> Optional[float]:
     """Resolve ``kernel`` and run its warm-up; returns the cost in ms.
 
-    Compiled backends pay their one-time cost (Numba JIT, C build+dlopen)
+    Compiled backends pay their one-time cost (C build+dlopen)
     inside ``get_kernel`` + ``warmup()``; running this before the timed
     repetitions keeps compilation out of every ``seconds`` figure, and the
     returned ``compile_ms`` reports it separately per record (near-zero
@@ -1010,7 +1010,7 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="NAMES",
         help=(
             "comma-separated kernel backends to include, e.g. "
-            "'numpy,numba,cffi' (combines with --kernel)"
+            "'numpy,cffi' (combines with --kernel)"
         ),
     )
     parser.add_argument(

@@ -14,7 +14,7 @@ Both engines are thin *schedules* over the shared kernel layer
 every state mutation — removable selection, edge death, degree scatter —
 runs through a :class:`~repro.kernels.base.PeelingKernel` backend selected
 by the ``kernel=`` option (``"numpy"`` reference backend by default; the
-compiled ``"numba"`` / ``"cffi"`` tiers when their toolchains are present).
+compiled ``"cffi"`` tier when cffi and a C compiler are present).
 Compiled backends additionally fuse the whole subround into one pass (see
 :meth:`~repro.kernels.base.PeelingKernel.fused_subround`); the parallel
 engine attaches the CSR incidence to the peel state so that fused path can

@@ -19,13 +19,12 @@ side effects.  This package is that observation as code:
   :func:`~repro.kernels.rounds.remove_hyperedges` — the shared inner loop,
   parameterized by an :data:`~repro.kernels.base.EdgeEffect` hook so pure
   k-core peeling and XOR-payload IBLT removal are the same code path.
-* the kernel registry — ``"numpy"`` always; the compiled tiers ``"numba"``
-  (JIT, ``prange``-parallel) and ``"cffi"`` (system-cc-compiled C) are
-  *declared lazily* whenever their toolchain looks present, and pay their
-  import/JIT/compile cost only on the first ``get_kernel`` call.  A
-  declared backend whose load fails raises
+* the kernel registry — ``"numpy"`` always; the compiled tier ``"cffi"``
+  (system-cc-compiled C) is *declared lazily* whenever cffi and a C
+  compiler look present, and pays its compile cost only on the first
+  ``get_kernel`` call.  A declared backend whose load fails raises
   :class:`~repro.kernels.registry.KernelUnavailableError` naming the cause
-  — a broken Numba install can never poison ``import repro``.  Select with
+  — a broken toolchain can never poison ``import repro``.  Select with
   ``kernel=`` on any engine/decoder, :class:`repro.PeelingConfig`, or the
   CLI's ``--kernel``.
 """
@@ -58,13 +57,6 @@ from repro.kernels.rounds import (
 from repro.kernels.state import PeelCheckpoint, PeelState
 
 
-def _load_numba_kernel() -> KernelFactory:
-    """Lazy loader for the ``"numba"`` backend (imports + JIT machinery)."""
-    from repro.kernels.numba_backend import NumbaKernel
-
-    return NumbaKernel
-
-
 def _load_cffi_kernel() -> KernelFactory:
     """Lazy loader for the ``"cffi"`` backend (compiles the C library)."""
     from repro.kernels.cffi_backend import CffiKernel, ensure_library
@@ -74,13 +66,11 @@ def _load_cffi_kernel() -> KernelFactory:
 
 
 # Registration tolerates re-imports (e.g. importlib.reload): never re-declare
-# a name that is already present.  The gates here are *cheap* presence checks
-# (is the module findable / is a C compiler on PATH) — the heavy work, and
+# a name that is already present.  The gate here is a *cheap* presence check
+# (is cffi findable / is a C compiler on PATH) — the heavy work, and
 # any failure it produces, is deferred to the first get_kernel() lookup.
 if "numpy" not in available_kernels():
     register_kernel("numpy", NumpyKernel)
-if "numba" not in available_kernels() and importlib.util.find_spec("numba") is not None:
-    register_lazy_kernel("numba", _load_numba_kernel)
 if (
     "cffi" not in available_kernels()
     and importlib.util.find_spec("cffi") is not None
@@ -90,11 +80,7 @@ if (
 
 
 def __getattr__(name: str):
-    """Expose the compiled backend classes without importing them eagerly."""
-    if name == "NumbaKernel":
-        from repro.kernels.numba_backend import NumbaKernel
-
-        return NumbaKernel
+    """Expose the compiled backend class without importing it eagerly."""
     if name == "CffiKernel":
         from repro.kernels.cffi_backend import CffiKernel
 
@@ -113,7 +99,6 @@ __all__ = [
     "PeelingKernel",
     "EdgeEffect",
     "NumpyKernel",
-    "NumbaKernel",
     "CffiKernel",
     "SubroundOutcome",
     "drop_edges",

@@ -7,7 +7,7 @@ subtable peeling, flat and subtable IBLT recovery — is the same process:
 effect per killed edge (the IBLT decoders XOR the recovered key and its
 checksum out of the key's other cells).  A :class:`PeelingKernel` supplies
 exactly those primitives, so the engines contain only schedule logic and a
-backend (NumPy today, Numba when importable, CUDA/Triton some day) can be
+backend (NumPy, or compiled C when a compiler is present) can be
 swapped under all of them at once via the kernel registry.
 
 Backends other than the reference NumPy implementation must be *bit-exact*:

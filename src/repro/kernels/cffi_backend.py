@@ -1,6 +1,6 @@
 """C kernel backend: fused peel rounds compiled on demand with the system cc.
 
-This is the second compiled tier next to the Numba backend.  It carries no
+This is the compiled tier next to the NumPy reference.  It carries no
 package dependency beyond :mod:`cffi` (ABI mode — no ``ffi.compile`` build
 isolation, no setuptools): the C source below is written into a build
 directory, compiled once with the system C compiler into a hash-named shared

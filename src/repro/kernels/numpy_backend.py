@@ -37,7 +37,7 @@ class NumpyKernel:
     def warmup(self) -> None:
         """No-op: the reference backend has no compile step to front-load.
 
-        Compiled backends override this to force their one-time JIT /
+        Compiled backends override this to force their one-time
         shared-library build on tiny inputs, so benchmarks can exclude (and
         report) the compile cost separately from the timed repetitions.
         """

@@ -2,15 +2,14 @@
 
 Mirrors the engine / decoder / backend registries built on
 :class:`repro.utils.registry.Registry`.  ``"numpy"`` (the reference backend)
-is always present; compiled backends (``"numba"``, ``"cffi"``) are
-*declared lazily* (see :mod:`repro.kernels`): their names appear in
-:func:`available_kernels` whenever the toolchain looks present, but the
-heavy work — importing Numba, JIT-compiling, invoking the C compiler —
-happens only on the first :func:`get_kernel` call.  A backend whose lazy
-load fails raises :class:`KernelUnavailableError` naming the failing import
-at *every* lookup (the failure is cached, the traceback is not re-paid),
-instead of poisoning package import the way an eager ``import numba`` at
-registration time would.
+is always present; compiled backends (``"cffi"``) are *declared lazily*
+(see :mod:`repro.kernels`): their names appear in :func:`available_kernels`
+whenever the toolchain looks present, but the heavy work — invoking the C
+compiler and loading the library — happens only on the first
+:func:`get_kernel` call.  A backend whose lazy load fails raises
+:class:`KernelUnavailableError` naming the failure at *every* lookup (the
+failure is cached, the traceback is not re-paid), instead of poisoning
+package import the way an eager build at registration time would.
 
 Engines and decoders accept either a registered name or a ready kernel
 instance via :func:`get_kernel`, so a custom backend can be injected without
@@ -53,8 +52,8 @@ class KernelUnavailableError(RuntimeError):
     """A declared kernel backend failed its one-time load (import/compile).
 
     The message names the backend and the underlying failure, so
-    ``get_kernel("numba")`` on a present-but-broken Numba install tells the
-    caller exactly which import blew up instead of surfacing an opaque
+    ``get_kernel("cffi")`` with a present-but-broken C toolchain tells the
+    caller exactly which step blew up instead of surfacing an opaque
     registry miss — and the package import itself never pays (or propagates)
     the broken dependency.
     """

@@ -7,7 +7,7 @@ peel arrays that end up in :class:`~repro.core.results.PeelingResult`, and
 own the loop structure — what counts as a round, which statistics to record —
 while every state mutation goes through a
 :class:`~repro.kernels.base.PeelingKernel` backend, so the same engine code
-runs on plain NumPy or on a JIT-compiled backend without change.
+runs on plain NumPy or on a compiled backend without change.
 """
 
 from __future__ import annotations
