@@ -63,7 +63,6 @@ from repro.core import (
     ParallelPeeler,
     SequentialPeeler,
     SubtablePeeler,
-    peel_to_kcore,
     PeelingResult,
 )
 
@@ -147,7 +146,6 @@ __all__ = [
     "ParallelPeeler",
     "SequentialPeeler",
     "SubtablePeeler",
-    "peel_to_kcore",
     "PeelingResult",
     "PeelingEngine",
     "PeelingConfig",

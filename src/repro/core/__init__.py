@@ -7,14 +7,13 @@
 * :class:`~repro.core.subtable.SubtablePeeler` — the Appendix B variant used
   by the GPU IBLT implementation: ``r`` serial subrounds per round, one per
   subtable.
-* :func:`~repro.core.peeling.peel_to_kcore` — deprecated front door; use
-  :func:`repro.peel` (the registry-backed API in :mod:`repro.engine`).
 
 The engines are registered in the :mod:`repro.engine` registry under the
-names ``"sequential"``, ``"parallel"`` and ``"subtable"``.
+names ``"sequential"``, ``"parallel"`` and ``"subtable"``; run them through
+:func:`repro.peel` (the registry-backed API in :mod:`repro.engine`).
 """
 
-from repro.core.peeling import ParallelPeeler, SequentialPeeler, peel_to_kcore
+from repro.core.peeling import ParallelPeeler, SequentialPeeler
 from repro.core.subtable import SubtablePeeler
 from repro.core.results import PeelingResult, RoundStats, UNPEELED
 
@@ -22,7 +21,6 @@ __all__ = [
     "ParallelPeeler",
     "SequentialPeeler",
     "SubtablePeeler",
-    "peel_to_kcore",
     "PeelingResult",
     "RoundStats",
     "UNPEELED",

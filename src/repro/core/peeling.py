@@ -24,7 +24,6 @@ bit-exact, so swapping one changes wall-clock time and nothing else.
 
 from __future__ import annotations
 
-import warnings
 from typing import List, Literal, Optional, Tuple, Union
 
 import numpy as np
@@ -36,7 +35,7 @@ from repro.kernels.arena import default_arena
 from repro.kernels.rounds import reseed_frontier
 from repro.utils.validation import check_positive_int
 
-__all__ = ["ParallelPeeler", "SequentialPeeler", "peel_to_kcore"]
+__all__ = ["ParallelPeeler", "SequentialPeeler"]
 
 UpdateMode = Literal["full", "frontier"]
 
@@ -462,40 +461,3 @@ class SequentialPeeler:
             resumed_from_round=resumed_from,
         )
 
-
-def peel_to_kcore(
-    graph: Hypergraph,
-    k: int,
-    *,
-    mode: Literal["parallel", "sequential", "subtable"] = "parallel",
-    update: UpdateMode = "full",
-) -> PeelingResult:
-    """Deprecated front door: peel ``graph`` to its k-core.
-
-    .. deprecated::
-        Use :func:`repro.peel` instead — ``peel(graph, mode, k=k)`` — which
-        resolves engines through the registry and accepts engine-specific
-        options.  This shim delegates to it and will be removed in a future
-        release.
-
-    Parameters
-    ----------
-    graph:
-        The hypergraph to peel.
-    k:
-        Degree threshold.
-    mode:
-        Engine name: ``"parallel"`` (round-synchronous, the paper's main
-        subject), ``"sequential"`` (greedy baseline) or ``"subtable"``
-        (Appendix B; requires a partitioned hypergraph).
-    update:
-        Work-accounting mode for the parallel engine (ignored otherwise).
-    """
-    warnings.warn(
-        "peel_to_kcore is deprecated; use repro.peel(graph, engine, k=...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.engine import peel  # local import avoids a cycle
-
-    return peel(graph, mode, k=k, update=update)

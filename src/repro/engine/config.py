@@ -39,8 +39,7 @@ class PeelingConfig:
     update:
         Work-accounting mode for engines that support it (``"full"`` or
         ``"frontier"`` for the parallel engine); silently ignored by engines
-        whose constructor does not take it, mirroring the historical
-        ``peel_to_kcore`` behaviour.
+        whose constructor does not take it.
     max_rounds:
         Safety cap on rounds for engines that take one.
     track_stats:

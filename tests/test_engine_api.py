@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ParallelPeeler, SequentialPeeler, SubtablePeeler, peel_to_kcore
+from repro.core import ParallelPeeler, SequentialPeeler, SubtablePeeler
 from repro.engine import (
     PeelingConfig,
     PeelingEngine,
@@ -113,7 +113,7 @@ class TestPeelingConfig:
 
     def test_build_drops_inapplicable_shared_fields(self):
         # SequentialPeeler takes neither update nor max_rounds; both are
-        # silently ignored, mirroring peel_to_kcore's historical behaviour.
+        # silently ignored.
         engine = PeelingConfig(engine="sequential", k=2, update="frontier", max_rounds=7).build()
         assert isinstance(engine, SequentialPeeler)
 
@@ -236,19 +236,9 @@ class TestPeelMany:
 
 
 # --------------------------------------------------------------------- #
-# deprecation shims
+# top-level exports
 # --------------------------------------------------------------------- #
-class TestDeprecationShims:
-    def test_peel_to_kcore_warns_and_delegates(self, small_below_threshold):
-        with pytest.warns(DeprecationWarning, match="peel_to_kcore is deprecated"):
-            legacy = peel_to_kcore(small_below_threshold, 2, mode="parallel")
-        assert_same_result(legacy, peel(small_below_threshold, "parallel", k=2))
-
-    def test_peel_to_kcore_still_supports_all_modes(self, small_partitioned):
-        with pytest.warns(DeprecationWarning):
-            result = peel_to_kcore(small_partitioned, 2, mode="subtable")
-        assert result.mode == "subtable"
-
+class TestTopLevelExports:
     def test_old_constructors_importable_from_top_level(self):
         import repro
 

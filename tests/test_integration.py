@@ -15,7 +15,7 @@ from repro import (
     SubtablePeeler,
     SubtableParallelDecoder,
     iterate_recurrence,
-    peel_to_kcore,
+    peel,
     peeling_threshold,
     predicted_survivors,
     random_hypergraph,
@@ -34,7 +34,7 @@ class TestPublicAPI:
 
     def test_quickstart_snippet(self):
         graph = random_hypergraph(10_000, 0.7, 4, seed=1)
-        result = peel_to_kcore(graph, k=2)
+        result = peel(graph, "parallel", k=2)
         assert result.success
         assert round(peeling_threshold(2, 4), 3) == 0.772
 

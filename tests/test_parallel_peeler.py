@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ParallelPeeler, peel_to_kcore
+from repro import peel
+from repro.core import ParallelPeeler
 from repro.core.results import UNPEELED
 from repro.hypergraph import Hypergraph, kcore, random_hypergraph
 
@@ -195,14 +196,14 @@ class TestDuplicateVertexEdges:
 
 
 class TestConvenienceAPI:
-    def test_peel_to_kcore_parallel(self, tiny_graph):
-        result = peel_to_kcore(tiny_graph, 2, mode="parallel")
+    def test_peel_parallel(self, tiny_graph):
+        result = peel(tiny_graph, "parallel", k=2)
         assert result.mode == "parallel"
 
-    def test_peel_to_kcore_invalid_mode(self, tiny_graph):
+    def test_peel_invalid_engine(self, tiny_graph):
         with pytest.raises(ValueError):
-            peel_to_kcore(tiny_graph, 2, mode="quantum")  # type: ignore[arg-type]
+            peel(tiny_graph, "quantum")
 
     def test_summary_mentions_rounds(self, tiny_graph):
-        result = peel_to_kcore(tiny_graph, 2)
+        result = peel(tiny_graph, "parallel", k=2)
         assert "rounds" in result.summary()

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ParallelPeeler, SequentialPeeler, peel_to_kcore
+from repro import peel
+from repro.core import ParallelPeeler, SequentialPeeler
 from repro.core.results import UNPEELED
 from repro.hypergraph import Hypergraph, kcore, random_hypergraph
 
@@ -83,5 +84,5 @@ class TestPeelOrder:
         assert result.round_stats == []
 
     def test_convenience_api(self, tiny_graph):
-        result = peel_to_kcore(tiny_graph, 2, mode="sequential")
+        result = peel(tiny_graph, "sequential", k=2)
         assert result.mode == "sequential"

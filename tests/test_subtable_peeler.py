@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ParallelPeeler, SubtablePeeler, peel_to_kcore
+from repro import peel
+from repro.core import ParallelPeeler, SubtablePeeler
 from repro.hypergraph import Hypergraph, kcore, partitioned_hypergraph
 
 
@@ -106,5 +107,5 @@ class TestSubroundAccounting:
         assert result.num_subrounds > 0
 
     def test_convenience_api(self, small_partitioned):
-        result = peel_to_kcore(small_partitioned, 2, mode="subtable")
+        result = peel(small_partitioned, "subtable", k=2)
         assert result.mode == "subtable"
