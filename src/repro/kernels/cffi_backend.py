@@ -7,10 +7,9 @@ directory, compiled once with the system C compiler into a hash-named shared
 library, and ``dlopen``-ed.  Recompiles happen only when the source or flag
 set changes; repeat runs reuse the cached ``.so``.
 
-Compilation first tries ``-fopenmp`` (the one OpenMP loop — the disjoint
-vertex-kill stamp — is race-free); when the toolchain lacks OpenMP the build
-falls back to a portable serial binary with identical results, so the
-backend works on any machine with *a* C compiler.
+The build is one portable serial binary (no OpenMP: threading the
+vertex-kill stamp measured no faster than one thread), so the backend
+works on any machine with *a* C compiler.
 
 Like every backend, this one must stay bit-exact with the NumPy reference:
 the fused subround reproduces the reference path's removable order
@@ -100,8 +99,7 @@ _SOURCE = """
  * Phase notes (identical in both instantiations):
  *   1. removable selection — ascending full scan / stable candidate order,
  *      matching the reference backend;
- *   2. vertex kills — disjoint indices, so the omp loop is race-free
- *      (_Pragma is ignored by a non-OpenMP build);
+ *   2. vertex kills — stamp each removable vertex dead with the round;
  *   3. dying edges via the CSR incidence — marking costs work proportional
  *      to the removals, the compaction scan yields the ascending edge
  *      order of the reference flatnonzero;
@@ -144,7 +142,6 @@ int NAME( \\
         free(mark); \\
         return 0; \\
     } \\
-    _Pragma("omp parallel for") \\
     for (int64_t i = 0; i < num_removable; i++) { \\
         int64_t v = removable_out[i]; \\
         vertex_alive[v] = 0; \\
@@ -244,12 +241,7 @@ void repro_scatter_sub_scalar_i32(
 }
 """
 
-_BASE_FLAGS = ["-O3", "-fPIC", "-shared"]
-#: (suffix, extra flags) attempts, in preference order.
-_FLAG_ATTEMPTS = (
-    ("omp", ["-fopenmp"]),
-    ("serial", ["-Wno-unknown-pragmas"]),
-)
+_FLAGS = ["-O3", "-fPIC", "-shared"]
 
 _FFI: Any = None
 _LIB: Any = None
@@ -276,29 +268,25 @@ def _find_compiler() -> str:
 def _compile_library(build_dir: Path, compiler: str) -> Path:
     """Compile (or reuse) the shared library; returns its path."""
     digest = hashlib.sha256(
-        ("\n".join([_SOURCE, _CDEF, " ".join(_BASE_FLAGS), compiler])).encode()
+        ("\n".join([_SOURCE, _CDEF, " ".join(_FLAGS), compiler])).encode()
     ).hexdigest()[:16]
     build_dir.mkdir(parents=True, exist_ok=True)
-    for suffix, _ in _FLAG_ATTEMPTS:
-        cached = build_dir / f"repro_kernel_{digest}.{suffix}.so"
-        if cached.exists():
-            return cached
+    target = build_dir / f"repro_kernel_{digest}.so"
+    if target.exists():
+        return target
     source_path = build_dir / f"repro_kernel_{digest}.c"
     source_path.write_text(_SOURCE)
-    errors = []
-    for suffix, extra in _FLAG_ATTEMPTS:
-        target = build_dir / f"repro_kernel_{digest}.{suffix}.so"
-        tmp = target.with_suffix(f".tmp{os.getpid()}")
-        cmd = [compiler, *_BASE_FLAGS, *extra, str(source_path), "-o", str(tmp)]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        if proc.returncode == 0:
-            os.replace(tmp, target)  # atomic: concurrent builders converge
-            return target
+    tmp = target.with_suffix(f".tmp{os.getpid()}")
+    cmd = [compiler, *_FLAGS, str(source_path), "-o", str(tmp)]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    if proc.returncode != 0:
         tmp.unlink(missing_ok=True)
-        errors.append(f"[{' '.join(cmd)}] {proc.stderr.strip()[:500]}")
-    raise RuntimeError(
-        "C kernel backend failed to compile:\n" + "\n".join(errors)
-    )
+        raise RuntimeError(
+            f"C kernel backend failed to compile:\n[{' '.join(cmd)}] "
+            f"{proc.stderr.strip()[:500]}"
+        )
+    os.replace(tmp, target)  # atomic: concurrent builders converge
+    return target
 
 
 def _self_test(ffi: Any, lib: Any) -> None:
