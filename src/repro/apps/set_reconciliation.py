@@ -293,8 +293,9 @@ class StreamingSetReconciler:
     applies directly to the resident difference table, and each
     :meth:`checkpoint` re-lists it via ``decode(incremental=True)`` — so a
     checkpoint after a small mutation batch costs rounds proportional to
-    that batch, while remaining bit-identical to re-reconciling from
-    scratch (the streaming tests and the CI console smoke pin this).
+    that batch.  A successful checkpoint is the true set difference, and
+    a checkpoint succeeds whenever re-reconciling from scratch would (the
+    streaming tests and the CI console smoke pin this).
 
     Parameters
     ----------

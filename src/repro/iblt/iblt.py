@@ -278,8 +278,9 @@ class IBLT:
             ``insert``/``delete`` churn is mirrored into the session, and
             each subsequent ``decode(incremental=True)`` checkpoint re-peels
             only from the churn-touched cells — rounds proportional to the
-            churn, results bit-identical to a from-scratch decode of the
-            mutated table.  Incremental results are canonical (keys sorted
+            churn.  A successful checkpoint is the table's true contents,
+            and a checkpoint succeeds whenever a from-scratch decode of the
+            mutated table does (see :mod:`repro.iblt.incremental`).  Incremental results are canonical (keys sorted
             ascending) and identical for every decoder name, since the
             decoder only governs the bootstrap.
         **options:
@@ -335,9 +336,8 @@ class IBLT:
             # residual can present a stale cell as pure with the wrong
             # sign and poison the cascade — a shape a from-scratch decode
             # of the mutated table never sees.  Rebuilding the session
-            # from scratch restores bit-identity by construction (and on
-            # a genuinely undecodable table returns exactly the partial
-            # result a from-scratch decode would).
+            # from scratch returns exactly what a from-scratch decode
+            # would, partial result included.
             self.discard_session()
         from repro.iblt.registry import get_decoder
 

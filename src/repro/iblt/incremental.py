@@ -30,8 +30,16 @@ shared :func:`~repro.kernels.rounds.remove_hyperedges` scatter core, and
 take the touched cells as the next candidate set.  The loop is
 decoder-independent — the decoder choice (serial / flat / batched) governs
 only the bootstrap decode, so incremental results are trivially identical
-across decoders, and the parity tests pin every checkpoint bit-identical to
-a from-scratch decode of the mutated table.
+across decoders.
+
+The contract, pinned by the churn property tests: a checkpoint that
+reports ``success`` holds exactly the table's true contents; whenever a
+from-scratch decode of the mutated table succeeds, the checkpoint succeeds
+with the identical result; a failed checkpoint is re-bootstrapped by
+``IBLT`` and so reports the from-scratch partial result.  A checkpoint can
+succeed where a from-scratch decode fails: when the session recovered a key
+before a second key with the very same cells arrived, the table alone holds
+a genuine 2-core that only the session's history resolves.
 """
 
 from __future__ import annotations
@@ -56,9 +64,10 @@ class IncrementalDecodeResult:
     recovered / removed:
         The *cumulative* net contents of the table at this checkpoint, in
         canonical (ascending) key order: keys with positive net sign in
-        ``recovered``, negative in ``removed``.  Identical, as sets-with-
-        multiplicity, to what a from-scratch decode of the mutated table
-        returns.
+        ``recovered``, negative in ``removed``.  On success, the true
+        contents; identical, as sets-with-multiplicity, to what a
+        from-scratch decode of the mutated table returns whenever that
+        decode succeeds too.
     success:
         True when the residual is fully drained (every cell zero) — the
         same criterion as a from-scratch decode's ``success``.

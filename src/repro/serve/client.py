@@ -84,7 +84,8 @@ class DecodeClient:
         ``session=True`` asks the server to keep the decode state resident
         on this connection: ship the same (mutated) table again with the
         flag set and the server re-peels only what changed since the last
-        shipment, answering bit-identically to a from-scratch decode.
+        shipment.  A successful answer is the table's true contents, and
+        the answer succeeds whenever a from-scratch decode would.
         Session requests are answered in shipment order.
         """
         payload = protocol.encode_decode_request(table, signed=signed, session=session)

@@ -286,8 +286,11 @@ class DecodeServer:
         later shipment of the same geometry is reduced to the cells whose
         ``count``/``key_sum``/``check_sum`` differ from the resident copy,
         applied as a cell delta, and answered by an incremental checkpoint
-        that re-peels only the dirty neighbourhood.  The answer is always
-        bit-identical to a from-scratch decode of the shipped table.
+        that re-peels only the dirty neighbourhood.  A successful answer is
+        exactly the shipped table's true contents; whenever a from-scratch
+        decode of the shipped table succeeds, so does the answer.  It may
+        also succeed where that decode fails, since the resident session
+        remembers keys it recovered before a colliding key arrived.
         """
         try:
             table, signed, _session = protocol.decode_decode_request(payload)

@@ -249,3 +249,19 @@ class TestSessionInternals:
         b = shipped.decode(decoder="flat", signed=True, incremental=True)
         assert canonical(a) == canonical(b)
         assert canonical(a)[0] == sorted(map(int, np.concatenate([keys, fresh])))
+
+
+class TestDecodeCommand:
+    @pytest.mark.parametrize("load", [0.7, 0.9])
+    def test_incremental_flow_verifies_the_contract(self, load, capsys):
+        # Below the threshold every decode succeeds; past it every decode
+        # stalls.  Both sides must pass the command's contract check.
+        from repro.cli import main
+
+        code = main([
+            "decode", "--num-cells", "3000", "--load", str(load),
+            "--decoder", "flat", "--incremental", "--churn", "0.02",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "verified: checkpoint honours the decode contract" in out
