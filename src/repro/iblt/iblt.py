@@ -280,9 +280,10 @@ class IBLT:
             only from the churn-touched cells — rounds proportional to the
             churn.  A successful checkpoint is the table's true contents,
             and a checkpoint succeeds whenever a from-scratch decode of the
-            mutated table does (see :mod:`repro.iblt.incremental`).  Incremental results are canonical (keys sorted
-            ascending) and identical for every decoder name, since the
-            decoder only governs the bootstrap.
+            mutated table does (see :mod:`repro.iblt.incremental`).
+            Incremental results are canonical (keys sorted ascending) and
+            identical for every decoder name, since the decoder only
+            governs the bootstrap.
         **options:
             Decoder-specific extras forwarded to the decoder constructor
             (e.g. ``max_rounds``, ``track_conflicts`` or ``kernel`` — the
